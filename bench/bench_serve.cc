@@ -30,12 +30,11 @@
 // --faults additionally runs the self-healing resilience sweep
 // (DESIGN.md section 16) on a fixed query: a sick-node stream (the
 // breaker must trip within its configured threshold, after which
-// sessions route around the node with zero mid-query crash detections),
-// a straggler stream served hedged vs un-hedged (hedged p99 must not
-// exceed un-hedged p99; rows bit-identical to clean), and a retry storm
-// under a fixed cluster-wide RetryBudget (total retries across all
-// sessions <= capacity). Results land in the JSON's "resilience"
-// section, with per-session recovery/hedge/quarantine counters printed.
+// sessions route around the node with zero mid-query crash detections)
+// and a retry storm under a fixed cluster-wide RetryBudget (total
+// retries across all sessions <= capacity). Results land in the JSON's
+// "resilience" section, with per-session recovery/quarantine counters
+// printed.
 
 #include <algorithm>
 #include <cctype>
@@ -192,12 +191,6 @@ struct ResilienceReport {
   std::uint64_t post_trip_crash_detections = 0;
   int post_trip_quarantined_sessions = 0;
   bool sick_rows_match = true;
-  // Straggler stream, hedged vs un-hedged.
-  double unhedged_p99_ms = 0;
-  double hedged_p99_ms = 0;
-  std::uint64_t hedge_launches = 0;
-  std::uint64_t hedge_wins = 0;
-  bool hedge_rows_match = true;
   // Retry storm under a shared budget.
   int storm_sessions = 0;
   std::uint64_t budget_capacity = 0;
@@ -210,12 +203,11 @@ struct ResilienceReport {
     return breaker_trip_session > 0 &&
            breaker_trip_session <= failure_threshold &&
            post_trip_crash_detections == 0 && sick_rows_match &&
-           hedged_p99_ms <= unhedged_p99_ms && hedge_rows_match &&
            retries_acquired <= budget_capacity && storm_rows_match;
   }
 };
 
-/// Runs the three seeded resilience scenarios against a fixed query (the
+/// Runs the two seeded resilience scenarios against a fixed query (the
 /// first mid-size template) so every session's rows are comparable to
 /// one clean fingerprint.
 ResilienceReport RunResilience(const RdfGraph& graph, const Cluster& cluster,
@@ -292,67 +284,7 @@ ResilienceReport RunResilience(const RdfGraph& graph, const Cluster& cluster,
     }
   }
 
-  // --- Scenario 2: straggler, hedged vs un-hedged. The same slow-node
-  // fault plan served by a health-less server (pays the delay) and by a
-  // warmed health-enabled server (hedges around it).
-  {
-    const int slow_node = flags.nodes - 1;
-    const double delay = 0.005;
-    const int kSessions = 12;
-
-    auto p99 = [](std::vector<double> lat) {
-      std::sort(lat.begin(), lat.end());
-      return lat[static_cast<std::size_t>(0.99 * (lat.size() - 1))] * 1e3;
-    };
-
-    ServerConfig unhedged_config;
-    unhedged_config.algorithm = Algorithm::kTdAuto;
-    unhedged_config.options = options;
-    unhedged_config.enable_health = false;
-    QueryServer unhedged(graph, cluster, partitioner, unhedged_config);
-
-    ServerConfig hedged_config = unhedged_config;
-    hedged_config.enable_health = true;
-    QueryServer hedged(graph, cluster, partitioner, hedged_config);
-
-    ServeResult clean = hedged.Serve(query);  // warms cache AND EWMAs
-    RowsFp clean_fp = fingerprint(clean);
-    ServeResult warm = hedged.Serve(query);  // cache-hit timing sample
-    (void)warm;
-    ServeResult unhedged_clean = unhedged.Serve(query);
-    (void)unhedged_clean;
-
-    FaultPlan fault(flags.nodes);
-    fault.SlowNode(slow_node, delay);
-    FaultScope scope(&fault);
-    std::vector<double> unhedged_lat, hedged_lat;
-    for (int s = 0; s < kSessions; ++s) {
-      ServeResult r = unhedged.Serve(query);
-      if (!r.status.ok() || fingerprint(r) != clean_fp) {
-        rep.hedge_rows_match = false;
-      }
-      unhedged_lat.push_back(r.total_seconds);
-    }
-    for (int s = 0; s < kSessions; ++s) {
-      ServeResult r = hedged.Serve(query);
-      if (!r.status.ok() || fingerprint(r) != clean_fp) {
-        rep.hedge_rows_match = false;
-      }
-      rep.hedge_launches += r.exec_metrics.hedged_ops;
-      rep.hedge_wins += r.exec_metrics.hedge_wins;
-      hedged_lat.push_back(r.total_seconds);
-    }
-    rep.unhedged_p99_ms = p99(unhedged_lat);
-    rep.hedged_p99_ms = p99(hedged_lat);
-    std::printf(
-        "resilience: straggler node %d (+%.1f ms/op): p99 %.3f ms "
-        "un-hedged vs %.3f ms hedged (%llu hedges, %llu wins)\n",
-        slow_node, delay * 1e3, rep.unhedged_p99_ms, rep.hedged_p99_ms,
-        static_cast<unsigned long long>(rep.hedge_launches),
-        static_cast<unsigned long long>(rep.hedge_wins));
-  }
-
-  // --- Scenario 3: retry storm against a fixed cluster-wide budget.
+  // --- Scenario 2: retry storm against a fixed cluster-wide budget.
   // Concurrent sessions retry through a very lossy network; the TOTAL
   // number of retries across all of them is capped by the bucket.
   {
@@ -643,12 +575,11 @@ int Main(int argc, char** argv) {
     ran_resilience = true;
     std::printf(
         "resilience verdict: breaker trip session %d (threshold %d), "
-        "post-trip crash detections %llu, hedged p99 %s un-hedged, "
+        "post-trip crash detections %llu, "
         "retries %llu <= budget %llu: %s\n\n",
         resilience.breaker_trip_session, resilience.failure_threshold,
         static_cast<unsigned long long>(
             resilience.post_trip_crash_detections),
-        resilience.hedged_p99_ms <= resilience.unhedged_p99_ms ? "<=" : ">",
         static_cast<unsigned long long>(resilience.retries_acquired),
         static_cast<unsigned long long>(resilience.budget_capacity),
         resilience.ok() ? "OK" : "VIOLATED");
@@ -717,16 +648,6 @@ int Main(int argc, char** argv) {
           static_cast<unsigned long long>(r.post_trip_crash_detections),
           r.post_trip_quarantined_sessions,
           r.sick_rows_match ? "true" : "false");
-      json += buf;
-      std::snprintf(
-          buf, sizeof(buf),
-          "    \"hedging\": {\"unhedged_p99_ms\": %.4f, \"hedged_p99_ms\": "
-          "%.4f, \"hedge_launches\": %llu, \"hedge_wins\": %llu, "
-          "\"rows_match\": %s},\n",
-          r.unhedged_p99_ms, r.hedged_p99_ms,
-          static_cast<unsigned long long>(r.hedge_launches),
-          static_cast<unsigned long long>(r.hedge_wins),
-          r.hedge_rows_match ? "true" : "false");
       json += buf;
       std::snprintf(
           buf, sizeof(buf),

@@ -58,11 +58,6 @@ void FaultPlan::CureNode(int node) {
   nodes_[node].sick.store(0, std::memory_order_relaxed);
 }
 
-double FaultPlan::PeekDelaySeconds(int node) const {
-  PARQO_CHECK(node >= 0 && node < num_nodes());
-  return nodes_[node].slow_seconds;
-}
-
 bool FaultPlan::IsSick(int node) const {
   PARQO_CHECK(node >= 0 && node < num_nodes());
   return nodes_[node].sick.load(std::memory_order_relaxed) != 0;

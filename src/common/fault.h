@@ -14,7 +14,9 @@
 //            the dead node's partition.
 //   slow   - a straggler: every operator on the node is delayed by a
 //            fixed amount (the only sanctioned sleep in the codebase;
-//            tools/parqo_lint.py forbids naked sleeps elsewhere).
+//            tools/parqo_lint.py forbids naked sleeps elsewhere). The
+//            executor keeps a slow node's work on it: the delay is paid
+//            in latency, never routed around.
 //   drop   - flaky network: each shipment is lost with probability p,
 //            decided by a deterministic per-probe Bernoulli draw. Drops
 //            can repeat on retry, which is what exhausts retry budgets.
@@ -110,13 +112,6 @@ class FaultPlan {
   /// Executor probe: called once per shipment (one broadcast copy or one
   /// repartition batch). Returns false when the flaky network eats it.
   bool DeliverShipment();
-
-  /// The straggler delay the next BeginNodeOp(node) would pay, without
-  /// sleeping or advancing any counter. In the simulated cluster an
-  /// attempt's in-flight time IS its injected delay, so this peek is the
-  /// hedging scheduler's "elapsed time exceeded the threshold"
-  /// observation, available at dispatch (exec/health.h).
-  double PeekDelaySeconds(int node) const;
 
   /// True while `node` is marked sick (probes are being refused).
   bool IsSick(int node) const;

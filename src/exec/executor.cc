@@ -53,8 +53,8 @@ struct Recovery {
   RetryPolicy policy;
 
   /// Whether the run pays for per-item probes and timing: either fault
-  /// injection is active or a health registry wants latency samples. The
-  /// plain path stays byte-for-byte the un-instrumented executor.
+  /// injection is active or a health registry wants per-node outcomes.
+  /// The plain path stays byte-for-byte the un-instrumented executor.
   bool instrumented() const { return fault != nullptr || health != nullptr; }
   /// Guards alive/host/alive_count plus the ExecMetrics recovery fields
   /// (recovery_attempts / operators_reexecuted / degraded_nodes), which
@@ -131,40 +131,6 @@ Status RunOnePartition(Recovery& rec, ExecMetrics& m, const char* op,
     if (attempt > 0) {
       MutexLock lock(rec.mu);
       ++m.recovery_attempts;
-    }
-    // Hedged straggler mitigation. The attempt's in-flight time on the
-    // simulated cluster IS its injected delay, known at dispatch
-    // (FaultPlan::PeekDelaySeconds), so the "elapsed > threshold, launch
-    // a speculative copy" watchdog collapses to a deterministic check.
-    // Winner rule: the copy with the strictly smaller in-flight delay
-    // completes first; ties keep the primary. Both copies would read the
-    // same durable partition (work(part) is keyed on the LOGICAL
-    // partition; the host only decides whose fault schedule is probed),
-    // so the winner's rows are bit-identical to the non-hedged run.
-    if (rec.health != nullptr && rec.fault != nullptr) {
-      double delay = rec.fault->PeekDelaySeconds(host);
-      if (delay > rec.health->HedgeThresholdSeconds()) {
-        int hedge = -1;
-        double hedge_delay = delay;
-        MutexLock lock(rec.mu);
-        for (std::size_t i = 0; i < rec.alive.size(); ++i) {
-          int cand = static_cast<int>(i);
-          if (!rec.alive[i] || cand == host) continue;
-          double d = rec.fault->PeekDelaySeconds(cand);
-          if (d <= delay) {
-            hedge = cand;
-            hedge_delay = d;
-            break;
-          }
-        }
-        if (hedge >= 0) {
-          ++m.hedged_ops;
-          if (hedge_delay < delay) {
-            ++m.hedge_wins;
-            host = hedge;  // the hedge wins; the straggler copy is dropped
-          }
-        }
-      }
     }
     Stopwatch op_watch;
     if (rec.fault != nullptr && !rec.fault->BeginNodeOp(host)) {
@@ -320,10 +286,8 @@ BindingTable Executor::Join(const BindingTable& left,
   opts.parallel = parallel_nodes_;
   // Merge kernel when both inputs arrive sorted on the single shared
   // variable (index scans establish the order; order-preserving
-  // operators propagate it). Bit-identical to the hash kernel, so
-  // kBatchHash keeps the hash path as an equivalence witness.
-  if (engine_ == ExecEngine::kBatch &&
-      MergeJoinKey(left, right) != kInvalidVarId) {
+  // operators propagate it); bit-identical to the hash kernel.
+  if (MergeJoinKey(left, right) != kInvalidVarId) {
     merge_joins_.fetch_add(1, std::memory_order_relaxed);
     return BatchMergeJoin(left, right, opts);
   }
@@ -623,10 +587,6 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
       reg.counter("exec.shipments_dropped").Add(m.shipments_dropped);
       reg.counter("exec.node_crashes")
           .Add(static_cast<std::uint64_t>(m.degraded_nodes.size()));
-    }
-    if (m.hedged_ops > 0) {
-      reg.counter("server.health.hedged_ops").Add(m.hedged_ops);
-      reg.counter("server.health.hedge_wins").Add(m.hedge_wins);
     }
     if (!m.quarantined_nodes.empty()) {
       reg.counter("server.health.nodes_quarantined")

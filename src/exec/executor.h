@@ -114,13 +114,11 @@ struct ExecMetrics {
   /// Health instrumentation (exec/health.h; populated only when the run
   /// is instrumented, i.e. a FaultScope is active or a
   /// NodeHealthRegistry is attached — the plain path stays untimed).
-  /// Per-PHYSICAL-node attribution: re-homed and hedged work counts
-  /// toward the node that actually executed it.
+  /// Per-PHYSICAL-node attribution: re-homed work counts toward the node
+  /// that actually executed it.
   std::vector<double> node_busy_seconds;      ///< Wall time in work items.
   std::vector<std::uint64_t> node_ops;        ///< Work items completed.
   std::vector<std::uint64_t> node_failures;   ///< Probe failures detected.
-  std::uint64_t hedged_ops = 0;  ///< Speculative re-executions launched.
-  std::uint64_t hedge_wins = 0;  ///< Hedges that completed first.
   /// Nodes pre-emptively routed around because their circuit breaker was
   /// open at dispatch (never probed, so they cost no mid-query crash
   /// detection and do not appear in degraded_nodes).
@@ -133,15 +131,13 @@ ResolvedPattern BindPattern(const TriplePattern& pattern,
                             const JoinGraph& jg, const Dictionary& dict);
 
 /// Which per-node join/scan implementation Execute() runs. kBatch is the
-/// production path (columnar morsel-driven kernels, exec/join_kernel.h)
-/// and picks the merge kernel whenever both inputs are known-sorted on
-/// the single shared variable; kBatchHash is the same batch path with the
-/// merge kernel disabled (hash joins only), kept as an equivalence
-/// witness and for before/after benchmarks; kRow is the row-at-a-time
-/// reference path (exec/reference_join.h) kept for golden equivalence
-/// testing. All three produce bit-identical BindingTables (DESIGN.md
-/// sections 13 and 17).
-enum class ExecEngine { kRow, kBatch, kBatchHash };
+/// production path (columnar morsel-driven kernels, exec/join_kernel.h):
+/// it picks the merge kernel whenever both inputs are known-sorted on the
+/// single shared variable and the hash kernel otherwise. kRow is the
+/// row-at-a-time reference path (exec/reference_join.h) kept for golden
+/// equivalence testing. Both produce bit-identical BindingTables
+/// (DESIGN.md sections 13 and 17).
+enum class ExecEngine { kRow, kBatch };
 
 class NodeHealthRegistry;  // exec/health.h
 
@@ -152,8 +148,7 @@ class Executor {
   /// thread per simulated node, like the real cluster would. `retry`
   /// bounds fault recovery; it is irrelevant without an active
   /// FaultScope. `health` (optional, not owned) attaches the cross-query
-  /// resilience layer: open-breaker nodes are quarantined at dispatch,
-  /// straggling work is hedged against the registry's threshold, and
+  /// resilience layer: open-breaker nodes are quarantined at dispatch and
   /// mid-query crash detections are reported back immediately.
   Executor(const Cluster& cluster, const JoinGraph& jg,
            CostParams cost_params, bool parallel_nodes = false,

@@ -1,9 +1,6 @@
 #include "exec/health.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
-#include <limits>
 
 #include "common/metrics.h"
 
@@ -17,11 +14,8 @@ constexpr int kHalfOpen = static_cast<int>(BreakerState::kHalfOpen);
 }  // namespace
 
 NodeHealthRegistry::NodeHealthRegistry(int num_nodes, HealthConfig config)
-    : config_(config),
-      nodes_(num_nodes),
-      hedge_threshold_(std::numeric_limits<double>::infinity()) {
+    : config_(config), nodes_(num_nodes) {
   PARQO_CHECK(num_nodes > 0);
-  PARQO_CHECK(config_.ewma_alpha > 0 && config_.ewma_alpha <= 1);
   PARQO_CHECK(config_.failure_threshold > 0);
   PARQO_CHECK(config_.session_window > 0);
   MutexLock lock(mu_);
@@ -97,7 +91,6 @@ void NodeHealthRegistry::Close(NodeHealth& n) {
 void NodeHealthRegistry::RecordNodeFailure(int node) {
   PARQO_CHECK(node >= 0 && node < num_nodes());
   NodeHealth& n = nodes_[node];
-  n.failures_total.fetch_add(1, std::memory_order_relaxed);
   int failures =
       n.consecutive_failures.fetch_add(1, std::memory_order_relaxed) + 1;
   if (MetricsEnabled()) {
@@ -114,75 +107,25 @@ void NodeHealthRegistry::RecordNodeFailure(int node) {
   if (s == kClosed && failures >= config_.failure_threshold) Open(n);
 }
 
-void NodeHealthRegistry::RecordNodeSuccess(int node, double op_seconds) {
+void NodeHealthRegistry::RecordNodeSuccess(int node) {
   PARQO_CHECK(node >= 0 && node < num_nodes());
   NodeHealth& n = nodes_[node];
-  n.successes_total.fetch_add(1, std::memory_order_relaxed);
   n.consecutive_failures.store(0, std::memory_order_relaxed);
   if (n.state.load(std::memory_order_relaxed) == kHalfOpen) Close(n);
-  if (op_seconds <= 0) return;
-  // Lock-free EWMA: CAS the double's bit pattern. Zero bits mean "no
-  // sample yet" (a real sample is always > 0, so the patterns are
-  // disjoint).
-  std::uint64_t cur = n.ewma_bits.load(std::memory_order_relaxed);
-  for (;;) {
-    double next =
-        cur == 0
-            ? op_seconds
-            : config_.ewma_alpha * op_seconds +
-                  (1.0 - config_.ewma_alpha) * std::bit_cast<double>(cur);
-    if (n.ewma_bits.compare_exchange_weak(cur,
-                                          std::bit_cast<std::uint64_t>(next),
-                                          std::memory_order_relaxed)) {
-      return;
-    }
-  }
-}
-
-double NodeHealthRegistry::EwmaOpSeconds(int node) const {
-  PARQO_CHECK(node >= 0 && node < num_nodes());
-  std::uint64_t bits = nodes_[node].ewma_bits.load(std::memory_order_relaxed);
-  return bits == 0 ? 0.0 : std::bit_cast<double>(bits);
-}
-
-void NodeHealthRegistry::RecomputeHedgeThreshold() {
-  std::vector<double> samples;
-  samples.reserve(nodes_.size());
-  for (const NodeHealth& n : nodes_) {
-    std::uint64_t bits = n.ewma_bits.load(std::memory_order_relaxed);
-    if (bits != 0) samples.push_back(std::bit_cast<double>(bits));
-  }
-  double threshold = std::numeric_limits<double>::infinity();
-  if (!samples.empty()) {
-    std::sort(samples.begin(), samples.end());
-    double pos = config_.hedge_quantile *
-                 static_cast<double>(samples.size() - 1);
-    std::size_t idx = static_cast<std::size_t>(pos);
-    double quantile = samples[idx];
-    if (idx + 1 < samples.size()) {
-      double frac = pos - static_cast<double>(idx);
-      quantile += frac * (samples[idx + 1] - samples[idx]);
-    }
-    threshold = std::max(config_.hedge_min_seconds,
-                         config_.hedge_multiplier * quantile);
-  }
-  hedge_threshold_.store(threshold, std::memory_order_relaxed);
 }
 
 void NodeHealthRegistry::RecordSession(const ExecMetrics& m) {
   // Per-node feedback. Mid-query failures were already reported by the
   // executor's RecordNodeFailure the moment each probe failed, so the
-  // session pass only records successes: a node that did work and never
-  // failed this session observed (busy / ops) mean per-op latency.
+  // session pass only records successes: nodes that did work and never
+  // failed this session.
   int n = std::min(num_nodes(), static_cast<int>(m.node_ops.size()));
   for (int i = 0; i < n; ++i) {
-    std::uint64_t ops = m.node_ops[i];
     std::uint64_t failures =
         i < static_cast<int>(m.node_failures.size()) ? m.node_failures[i]
                                                      : 0;
-    if (ops == 0 || failures > 0) continue;
-    RecordNodeSuccess(i, m.node_busy_seconds[i] /
-                             static_cast<double>(ops));
+    if (m.node_ops[i] == 0 || failures > 0) continue;
+    RecordNodeSuccess(i);
   }
 
   {
@@ -201,7 +144,6 @@ void NodeHealthRegistry::RecordSession(const ExecMetrics& m) {
                      walls.begin() + static_cast<std::ptrdiff_t>(rank),
                      walls.end());
     session_p99_.store(walls[rank], std::memory_order_relaxed);
-    RecomputeHedgeThreshold();
   }
 
   if (MetricsEnabled()) {
@@ -209,10 +151,6 @@ void NodeHealthRegistry::RecordSession(const ExecMetrics& m) {
     reg.counter("server.health.sessions").Add(1);
     reg.gauge("server.health.session_p99_seconds")
         .Set(session_p99_.load(std::memory_order_relaxed));
-    double hedge = hedge_threshold_.load(std::memory_order_relaxed);
-    if (std::isfinite(hedge)) {
-      reg.gauge("server.health.hedge_threshold_seconds").Set(hedge);
-    }
   }
 }
 

@@ -1,13 +1,13 @@
-// Cross-query node health: EWMA latency tracking, failure counting, and
-// per-node circuit breakers (DESIGN.md section 16).
+// Cross-query node health: failure counting, per-node circuit breakers
+// and the session-latency p99 (DESIGN.md section 16).
 //
 // PR 4's recovery layer is per-query: every session independently pays
 // the full detect-crash / re-home / retry cycle against the same sick
 // node, and concurrent sessions amplify each other into retry storms.
 // The NodeHealthRegistry is the piece of state that REMEMBERS: the
-// server feeds it every session's ExecMetrics, it tracks per-node EWMA
-// operator latency and consecutive-failure counts, and it drives one
-// circuit breaker per simulated node:
+// server feeds it every session's ExecMetrics, it tracks per-node
+// consecutive-failure counts, and it drives one circuit breaker per
+// simulated node:
 //
 //       closed ── failure_threshold consecutive failures ──> open
 //       open ── cooldown elapsed, first router claims probe ──> half-open
@@ -17,18 +17,15 @@
 // The executor consults the registry BEFORE dispatch (AllowRoute): open
 // nodes are quarantined — their partitions are pre-emptively re-homed to
 // survivors, so the session never discovers the crash mid-scan. The
-// registry also derives a hedge threshold (a quantile over the per-node
-// EWMA latencies) that the executor compares against a node's in-flight
-// delay to trigger speculative re-execution, and a session-latency p99
-// that the AdmissionController uses for load shedding.
+// registry also keeps a session-latency p99 that the
+// AdmissionController uses for load shedding.
 //
 // Concurrency: the executor-facing read path (AllowRoute /
-// HedgeThresholdSeconds / SessionP99Seconds) is lock-free — atomic per-
-// node state, breaker transitions by CAS. The feedback path
-// (RecordSession) takes mu_ (LockRank::kHealth) only to recompute the
-// derived quantile thresholds; per-node EWMA updates themselves are CAS
-// loops on bit-cast doubles so RecordNodeSuccess/Failure may also be
-// called mid-query from executor workers.
+// SessionP99Seconds) is lock-free — atomic per-node state, breaker
+// transitions by CAS. The feedback path (RecordSession) takes mu_
+// (LockRank::kHealth) only for the session-latency ring buffer;
+// RecordNodeSuccess/Failure touch only atomics, so the executor may call
+// them mid-query from its workers.
 
 #ifndef PARQO_EXEC_HEALTH_H_
 #define PARQO_EXEC_HEALTH_H_
@@ -42,23 +39,13 @@
 
 namespace parqo {
 
-/// Breaker and EWMA knobs. Defaults suit the simulated cluster's
-/// sub-millisecond operators; tests shrink/grow cooldown_seconds to pin
-/// transitions.
+/// Breaker knobs. Defaults suit the simulated cluster's sub-millisecond
+/// operators; tests shrink/grow cooldown_seconds to pin transitions.
 struct HealthConfig {
-  /// EWMA weight of the newest sample (higher = faster adaptation).
-  double ewma_alpha = 0.3;
   /// Consecutive failures that trip a breaker closed -> open.
   int failure_threshold = 3;
   /// Seconds an open breaker waits before offering a half-open probe.
   double cooldown_seconds = 0.5;
-  /// The hedge threshold is `hedge_multiplier` times this quantile of
-  /// the per-node EWMA operator latencies (nodes with samples only).
-  double hedge_quantile = 0.9;
-  double hedge_multiplier = 4.0;
-  /// Never hedge below this absolute in-flight delay, regardless of how
-  /// fast the healthy quantile is — hedging microsecond ops is waste.
-  double hedge_min_seconds = 1e-4;
   /// Session latencies tracked for the admission p99 (ring buffer size).
   int session_window = 256;
 };
@@ -85,12 +72,6 @@ class NodeHealthRegistry {
   /// is recorded. NOT idempotent — introspection should use state().
   bool AllowRoute(int node);
 
-  /// Current hedge threshold in seconds; +infinity until enough healthy
-  /// samples exist to derive a quantile.
-  double HedgeThresholdSeconds() const {
-    return hedge_threshold_.load(std::memory_order_relaxed);
-  }
-
   /// p99 of recent session wall times (admission shedding input);
   /// 0 until a session has been recorded.
   double SessionP99Seconds() const {
@@ -99,11 +80,10 @@ class NodeHealthRegistry {
 
   // -- Feedback --------------------------------------------------------
 
-  /// Feeds one finished session's metrics: per-node EWMA updates from
-  /// node busy time, failure/success bookkeeping (success on a probed
-  /// half-open node closes its breaker), and recomputation of the
-  /// derived hedge threshold and session p99. Call after EVERY session,
-  /// failed or not — failures are what breakers eat.
+  /// Feeds one finished session's metrics: success bookkeeping for every
+  /// node that did work without failing (success on a probed half-open
+  /// node closes its breaker) and the session p99. Call after EVERY
+  /// session, failed or not — failures are what breakers eat.
   void RecordSession(const ExecMetrics& m);
 
   /// One mid-query crash detection on `node` (executor calls this the
@@ -111,9 +91,9 @@ class NodeHealthRegistry {
   /// session's retry loop rather than one session per failure).
   void RecordNodeFailure(int node);
 
-  /// One successful observation on `node` with mean per-op latency
-  /// `op_seconds` (<= 0 records the success but skips the EWMA update).
-  void RecordNodeSuccess(int node, double op_seconds);
+  /// One successful observation on `node`: resets its consecutive
+  /// failures and closes a half-open breaker.
+  void RecordNodeSuccess(int node);
 
   // -- Introspection (tests, bench, metrics) ---------------------------
 
@@ -121,7 +101,6 @@ class NodeHealthRegistry {
     return static_cast<BreakerState>(
         nodes_[node].state.load(std::memory_order_relaxed));
   }
-  double EwmaOpSeconds(int node) const;
   int consecutive_failures(int node) const {
     return nodes_[node].consecutive_failures.load(
         std::memory_order_relaxed);
@@ -143,20 +122,12 @@ class NodeHealthRegistry {
   struct NodeHealth {
     std::atomic<int> state{static_cast<int>(BreakerState::kClosed)};
     std::atomic<int> consecutive_failures{0};
-    /// EWMA of per-op latency, stored as the double's bit pattern so the
-    /// CAS update loop needs no lock. Zero bits until the first sample.
-    std::atomic<std::uint64_t> ewma_bits{0};
     /// Stopwatch-relative time the breaker last opened.
     std::atomic<double> opened_at{0};
-    std::atomic<std::uint64_t> failures_total{0};
-    std::atomic<std::uint64_t> successes_total{0};
   };
 
   void Open(NodeHealth& n);
   void Close(NodeHealth& n);
-  /// Recomputes hedge_threshold_ from the per-node EWMAs. Serialized by
-  /// mu_; reads the atomics, publishes one atomic result.
-  void RecomputeHedgeThreshold() PARQO_REQUIRES(mu_);
 
   const HealthConfig config_;
   /// Steady clock for breaker cooldowns; immutable after construction.
@@ -167,7 +138,6 @@ class NodeHealthRegistry {
   // parqo-lint: allow(guarded-field) per-element atomics, sized in the ctor
   std::vector<NodeHealth> nodes_;
 
-  std::atomic<double> hedge_threshold_;
   std::atomic<double> session_p99_{0};
 
   std::atomic<std::uint64_t> breaker_opens_{0};
@@ -175,8 +145,8 @@ class NodeHealthRegistry {
   std::atomic<std::uint64_t> probes_started_{0};
   std::atomic<std::uint64_t> routes_denied_{0};
 
-  /// Serializes derived-threshold recomputation and the session-latency
-  /// ring buffer; never held while calling out of this class.
+  /// Serializes the session-latency ring buffer; never held while
+  /// calling out of this class.
   Mutex mu_{LockRank::kHealth};
   std::vector<double> session_walls_ PARQO_GUARDED_BY(mu_);
   int session_next_ PARQO_GUARDED_BY(mu_) = 0;

@@ -147,14 +147,14 @@ ServeResult QueryServer::ServeAdmitted(
   RetryPolicy retry = config_.retry;
   retry.budget = retry_budget_.get();  // null = per-query policy only
   Executor executor(cluster_, jg, config_.options.cost_params,
-                    config_.parallel_exec_nodes, retry, config_.engine,
+                    config_.parallel_exec_nodes, retry, ExecEngine::kBatch,
                     health_.get());
   Stopwatch exec_watch;
   Result<BindingTable> rows = executor.Execute(*entry.plan, &out.exec_metrics);
   out.execute_seconds = exec_watch.ElapsedSeconds();
   // Feed the health registry failed-or-not: failures already reached it
-  // mid-query (breakers trip on detection), successes carry the latency
-  // samples, and every session's wall time updates the admission p99.
+  // mid-query (breakers trip on detection), successes close half-open
+  // breakers, and every session's wall time updates the admission p99.
   if (health_ != nullptr) health_->RecordSession(out.exec_metrics);
   if (retry_budget_ != nullptr && MetricsEnabled()) {
     MetricsRegistry::Global()

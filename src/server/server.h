@@ -27,9 +27,8 @@
 // Self-healing (DESIGN.md section 16): the server owns a
 // NodeHealthRegistry (exec/health.h) fed every session's ExecMetrics.
 // Its circuit breakers make the executor route around known-sick nodes
-// BEFORE dispatch, its latency quantiles drive hedged straggler
-// re-execution, its session p99 drives admission load shedding, and an
-// optional cluster-wide RetryBudget caps the TOTAL retries concurrent
+// BEFORE dispatch, its session p99 drives admission load shedding, and
+// an optional cluster-wide RetryBudget caps the TOTAL retries concurrent
 // sessions may spend (exhaustion degrades to typed kUnavailable instead
 // of a synchronized backoff storm).
 //
@@ -85,15 +84,15 @@ struct ServerConfig {
   /// optimizer threads); <= 0 selects hardware_concurrency.
   int num_threads = 0;
   /// Executor knobs; `retry` bounds fault recovery under a FaultScope.
+  /// Sessions always run the batch engine (ExecEngine::kBatch).
   bool parallel_exec_nodes = false;
-  ExecEngine engine = ExecEngine::kBatch;
   RetryPolicy retry;
 
   /// Self-healing serving (DESIGN.md section 16). With `enable_health`
-  /// the server owns a NodeHealthRegistry: sessions feed it, breakers
-  /// quarantine sick nodes, stragglers are hedged. Off restores the
-  /// memoryless pre-health behavior (and the un-instrumented executor
-  /// fast path when no FaultScope is active).
+  /// the server owns a NodeHealthRegistry: sessions feed it and breakers
+  /// quarantine sick nodes. Off restores the memoryless pre-health
+  /// behavior (and the un-instrumented executor fast path when no
+  /// FaultScope is active).
   bool enable_health = true;
   HealthConfig health;
   /// Bounded admission wait-queue depth (0 = immediate rejection) and

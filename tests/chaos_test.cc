@@ -26,10 +26,10 @@
 #include "exec/cluster.h"
 #include "exec/executor.h"
 #include "exec/health.h"
+#include "optimizer/plan_validator.h"
 #include "optimizer/prepared_query.h"
 #include "partition/hash_so.h"
 #include "plan/plan.h"
-#include "plan/validate.h"
 #include "rdf/ntriples.h"
 #include "sparql/parser.h"
 #include "stats/data_stats.h"
@@ -570,8 +570,8 @@ TEST(ChaosDeadlineTest, ExpiredDeadlineStillYieldsExecutablePlan) {
   ASSERT_NE(r.plan, nullptr);
   EXPECT_EQ(r.abort_cause, AbortCause::kDeadline);
   EXPECT_FALSE(r.timed_out);  // degradation is not failure
-  EXPECT_TRUE(ValidatePlan(*r.plan, fixture.jg(),
-                           fixture.inputs().local_index)
+  EXPECT_TRUE(PlanValidator(fixture.jg(), fixture.inputs().local_index)
+                  .ValidatePlan(*r.plan)
                   .ok());
 }
 
@@ -587,8 +587,8 @@ TEST(ChaosDeadlineTest, ExpiredDeadlineParallelEnumerator) {
   OptimizeResult r = Optimize(Algorithm::kTdCmd, fixture.inputs(), options);
   ASSERT_NE(r.plan, nullptr);
   EXPECT_EQ(r.abort_cause, AbortCause::kDeadline);
-  EXPECT_TRUE(ValidatePlan(*r.plan, fixture.jg(),
-                           fixture.inputs().local_index)
+  EXPECT_TRUE(PlanValidator(fixture.jg(), fixture.inputs().local_index)
+                  .ValidatePlan(*r.plan)
                   .ok());
 }
 
@@ -609,8 +609,8 @@ TEST(ChaosDeadlineTest, MscFallbackCoversEveryAlgorithm) {
     SCOPED_TRACE(ToString(a));
     OptimizeResult r = Optimize(a, fixture.inputs(), options);
     ASSERT_NE(r.plan, nullptr);
-    EXPECT_TRUE(ValidatePlan(*r.plan, fixture.jg(),
-                             fixture.inputs().local_index)
+    EXPECT_TRUE(PlanValidator(fixture.jg(), fixture.inputs().local_index)
+                    .ValidatePlan(*r.plan)
                     .ok());
     if (r.fell_back_to_msc) {
       EXPECT_EQ(r.abort_cause, AbortCause::kDeadline);

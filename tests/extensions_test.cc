@@ -9,11 +9,11 @@
 #include "common/rng.h"
 #include "exec/cluster.h"
 #include "exec/executor.h"
+#include "optimizer/plan_validator.h"
 #include "optimizer/prepared_query.h"
 #include "partition/hash_so.h"
 #include "partition/hot_query.h"
 #include "plan/export.h"
-#include "plan/validate.h"
 #include "query/match.h"
 #include "rdf/ntriples.h"
 #include "sparql/parser.h"
@@ -189,7 +189,7 @@ TEST(BinaryDpTest, PlansAreBinaryOnly) {
       Optimize(Algorithm::kBinaryDp, fx.inputs(), OptimizeOptions{});
   ASSERT_NE(r.plan, nullptr);
   EXPECT_EQ(r.algorithm_used, Algorithm::kBinaryDp);
-  EXPECT_TRUE(ValidatePlan(*r.plan, fx.jg(), nullptr).ok());
+  EXPECT_TRUE(PlanValidator(fx.jg(), nullptr).ValidatePlan(*r.plan).ok());
   std::function<void(const PlanNode&)> check = [&](const PlanNode& n) {
     if (n.kind == PlanNode::Kind::kJoin) {
       EXPECT_EQ(n.children.size(), 2u);

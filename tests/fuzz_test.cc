@@ -15,12 +15,12 @@
 #include "common/rng.h"
 #include "exec/cluster.h"
 #include "exec/executor.h"
+#include "optimizer/plan_validator.h"
 #include "optimizer/prepared_query.h"
 #include "partition/hash_so.h"
 #include "partition/min_edge_cut.h"
 #include "partition/path_bmc.h"
 #include "partition/two_hop.h"
-#include "plan/validate.h"
 #include "query/match.h"
 #include "tests/test_util.h"
 
@@ -185,9 +185,10 @@ TEST_P(FuzzTest, AllPipelinesAgreeWithReference) {
       OptimizeResult r =
           Optimize(combo.algorithm, prepared.inputs(), options);
       ASSERT_NE(r.plan, nullptr);
-      ASSERT_TRUE(ValidatePlan(*r.plan, prepared.join_graph(),
-                               &prepared.local_index())
-                      .ok());
+      ASSERT_TRUE(
+          PlanValidator(prepared.join_graph(), &prepared.local_index())
+              .ValidatePlan(*r.plan)
+              .ok());
 
       Cluster cluster(graph, combo.partitioner->PartitionData(graph, 3));
       Executor executor(cluster, prepared.join_graph(),

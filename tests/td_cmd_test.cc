@@ -10,7 +10,7 @@
 
 #include "common/rng.h"
 #include "optimizer/enumeration_stats.h"
-#include "plan/validate.h"
+#include "optimizer/plan_validator.h"
 #include "tests/optimizer_test_util.h"
 #include "tests/test_util.h"
 
@@ -67,7 +67,7 @@ TEST(TdCmdTest, PlansAreValidAndComplete) {
     QueryFixture fx(GenerateRandomQuery(shape, 8, rng));
     OptimizeResult r = RunOn(fx);
     ASSERT_NE(r.plan, nullptr) << ToString(shape);
-    EXPECT_TRUE(ValidatePlan(*r.plan, fx.jg(), nullptr).ok())
+    EXPECT_TRUE(PlanValidator(fx.jg(), nullptr).ValidatePlan(*r.plan).ok())
         << ToString(shape);
     EXPECT_FALSE(r.timed_out);
     EXPECT_GT(r.enumerated, 0u);
