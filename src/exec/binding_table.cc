@@ -41,6 +41,26 @@ void BindingTable::AppendFrom(const BindingTable& src) {
   }
 }
 
+BindingTable BindingTable::Concat(std::vector<BindingTable>&& parts) {
+  if (parts.empty()) return BindingTable();
+  BindingTable out(parts[0].schema_);
+  std::size_t rows = 0;
+  for (const BindingTable& p : parts) {
+    PARQO_DCHECK(p.schema_ == out.schema_);
+    rows += p.NumRows();
+  }
+  for (std::size_t c = 0; c < out.cols_.size(); ++c) {
+    std::vector<TermId>& dst = out.cols_[c];
+    dst.reserve(rows);
+    for (BindingTable& p : parts) {
+      dst.insert(dst.end(), p.cols_[c].begin(), p.cols_[c].end());
+      std::vector<TermId>().swap(p.cols_[c]);
+    }
+  }
+  parts.clear();
+  return out;
+}
+
 void BindingTable::AppendGather(const BindingTable& src,
                                 const std::uint32_t* rows, std::size_t n) {
   PARQO_DCHECK(schema_ == src.schema_);

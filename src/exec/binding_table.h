@@ -75,6 +75,13 @@ class BindingTable {
   /// identical (same variables in the same column order).
   void AppendFrom(const BindingTable& src);
 
+  /// Concatenates `parts` (identical schemas) into one table, consuming
+  /// them: each output column is reserved once and each part's column is
+  /// freed as soon as it has been copied, so peak memory stays near one
+  /// copy of the rows. Same rows and order as AppendFrom over the parts;
+  /// known order is dropped, as any append drops it. No parts, no schema.
+  static BindingTable Concat(std::vector<BindingTable>&& parts);
+
   /// Appends `n` rows of `src` selected by `rows` (source row indexes, in
   /// the given order), column by column. Schemas must be identical.
   void AppendGather(const BindingTable& src, const std::uint32_t* rows,

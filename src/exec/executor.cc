@@ -257,6 +257,12 @@ ResolvedPattern BindPattern(const TriplePattern& pattern,
 struct Executor::DistTable {
   std::vector<BindingTable> per_node;
   std::vector<VarId> schema;
+  /// No row sits on two nodes and no node's table holds a row twice, so
+  /// the concatenation of per_node is duplicate-free (DESIGN.md section
+  /// 13, "When rows are deduplicated"). Set by repartition joins and
+  /// inherited by broadcast joins from their partitioned input; scans and
+  /// local joins never set it, because partitioners replicate triples.
+  bool disjoint = false;
 
   std::uint64_t GlobalRows() const {
     std::uint64_t sum = 0;
@@ -346,6 +352,13 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
     double cost = 0;
   };
 
+  // Whether the batch engine may skip deduplicating `table`'s gathered
+  // rows. The row oracle deduplicates everywhere, so engine equivalence
+  // checks that every dedup the batch engine skips would remove nothing.
+  auto skips_dedup = [&](const DistTable& table) {
+    return engine_ == ExecEngine::kBatch && table.disjoint;
+  };
+
   // Opt-in estimated-vs-measured cardinality per operator. Driver-thread
   // only (eval recursion runs on the driver; workers only fill tables).
   auto record_card = [&](const PlanNode& node, const DistTable& table,
@@ -410,7 +423,7 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
       case JoinMethod::kLocal: {
         PARQO_RETURN_IF_ERROR(RunPartitioned(
             rec, m, "local_join", n, parallel_nodes_, [&](int i) {
-              BindingTable acc = children[0].table.per_node[i];
+              BindingTable acc = std::move(children[0].table.per_node[i]);
               for (std::size_t c = 1; c < children.size(); ++c) {
                 acc = Join(acc, children[c].table.per_node[i]);
               }
@@ -430,11 +443,9 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
         std::vector<BindingTable> gathered;
         for (std::size_t c = 0; c < children.size(); ++c) {
           if (c == largest) continue;
-          BindingTable g(children[c].table.schema);
-          for (const BindingTable& t : children[c].table.per_node) {
-            g.AppendFrom(t);
-          }
-          g.Deduplicate();
+          BindingTable g =
+              BindingTable::Concat(std::move(children[c].table.per_node));
+          if (!skips_dedup(children[c].table)) g.Deduplicate();
           // One copy of the gathered input lands on every node; each
           // copy is one shipment the flaky network may eat.
           std::uint64_t rows = g.NumRows() * static_cast<std::uint64_t>(n);
@@ -450,19 +461,23 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
         }
         PARQO_RETURN_IF_ERROR(RunPartitioned(
             rec, m, "broadcast_join", n, parallel_nodes_, [&](int i) {
-              BindingTable acc = children[largest].table.per_node[i];
+              BindingTable acc =
+                  std::move(children[largest].table.per_node[i]);
               for (const BindingTable& g : gathered) {
                 acc = Join(acc, g);
               }
               out.per_node[i] = std::move(acc);
             }));
+        // Every output row extends one row of the partitioned input on
+        // the same node, and the gathered inputs are duplicate-free.
+        out.disjoint = children[largest].table.disjoint;
         break;
       }
       case JoinMethod::kRepartition: {
         // Re-hash every input on the cmd's join variable.
         std::vector<std::vector<BindingTable>> routed(children.size());
         for (std::size_t c = 0; c < children.size(); ++c) {
-          const DistTable& in = children[c].table;
+          DistTable& in = children[c].table;
           routed[c].assign(n, BindingTable(in.schema));
           int col = -1;
           if (!in.per_node.empty()) {
@@ -472,9 +487,9 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
           // Route column-wise: bucket each source table's row indexes by
           // target (ascending within a bucket), then ship every bucket
           // with one gather. Arrival order per target matches the old
-          // per-row routing exactly.
+          // per-row routing exactly. A source table is freed once routed.
           std::vector<std::vector<std::uint32_t>> route(n);
-          for (const BindingTable& t : in.per_node) {
+          for (BindingTable& t : in.per_node) {
             for (std::vector<std::uint32_t>& b : route) b.clear();
             const std::vector<TermId>& keys = t.Column(col);
             for (std::size_t r = 0; r < t.NumRows(); ++r) {
@@ -485,6 +500,7 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
               routed[c][target].AppendGather(t, route[target].data(),
                                              route[target].size());
             }
+            t = BindingTable();
           }
           // Deliver (and count) at the receiving end so per-node sums
           // reproduce the totals exactly: every routed row has one
@@ -501,7 +517,10 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
           m.bytes_shipped += edge_bytes;
           m.edges.push_back({"repartition", edge_rows, edge_bytes});
           // Replicated source rows can meet at the target; dedup there.
-          for (BindingTable& t : routed[c]) t.Deduplicate();
+          // Rows of a disjoint input are distinct, so none can meet.
+          if (!skips_dedup(in)) {
+            for (BindingTable& t : routed[c]) t.Deduplicate();
+          }
         }
         PARQO_RETURN_IF_ERROR(RunPartitioned(
             rec, m, "repartition_join", n, parallel_nodes_, [&](int i) {
@@ -511,6 +530,9 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
               }
               out.per_node[i] = std::move(acc);
             }));
+        // Node t holds only rows whose join variable hashes to t, and a
+        // join of duplicate-free inputs is duplicate-free.
+        out.disjoint = true;
         break;
       }
     }
@@ -558,12 +580,9 @@ Result<BindingTable> Executor::Execute(const PlanNode& plan,
   m.measured_cost = root.cost;
   m.merge_joins = merge_joins_.load(std::memory_order_relaxed);
 
-  // Gather and deduplicate the global result.
-  BindingTable result(root.table.schema);
-  for (const BindingTable& t : root.table.per_node) {
-    result.AppendFrom(t);
-  }
-  result.Deduplicate();
+  // Gather the global result; deduplicate it unless no row can repeat.
+  BindingTable result = BindingTable::Concat(std::move(root.table.per_node));
+  if (!skips_dedup(root.table)) result.Deduplicate();
   m.result_rows = result.NumRows();
   m.wall_seconds = watch.ElapsedSeconds();
 

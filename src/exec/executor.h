@@ -52,7 +52,10 @@ struct ExecMetrics {
   /// which is why local plans win by an order of magnitude in the paper;
   /// benches add `overhead * distributed_joins` to model that.
   std::uint64_t distributed_joins = 0;
-  std::uint64_t result_rows = 0;  ///< After global deduplication.
+  /// Distinct global result rows. Equal to the gathered per-node rows
+  /// when the root is a repartition join (or a broadcast over one), whose
+  /// output no final dedup could shrink.
+  std::uint64_t result_rows = 0;
   double wall_seconds = 0;
 
   /// Node-local joins the batch engine ran with the merge kernel instead
@@ -66,7 +69,9 @@ struct ExecMetrics {
   /// Executor::set_record_op_cardinalities(true) is set (bench/report
   /// use — it costs one global gather + dedup per operator). `actual` is
   /// the operator's deduplicated GLOBAL output-row count, the quantity
-  /// the Eq. 10/11 estimator's PlanNode::cardinality predicts.
+  /// the Eq. 10/11 estimator's PlanNode::cardinality predicts. The dedup
+  /// runs even where Execute() skips it as provably a no-op, so these
+  /// counts do not rest on that argument.
   struct OpCardinality {
     std::string op;        ///< "scan" | "local" | "broadcast" | "repartition"
     std::vector<int> tps;  ///< Pattern indexes the subtree covers.
@@ -157,8 +162,12 @@ class Executor {
            NodeHealthRegistry* health = nullptr);
 
   /// Executes `plan` and returns the deduplicated global result over all
-  /// of the query's variables. Fills `metrics` if non-null; on error the
-  /// metrics are zeroed with `failed` set (never partial sums).
+  /// of the query's variables: the per-node tables concatenated in node
+  /// order, keep-first deduplicated. The batch engine skips that dedup
+  /// when the root's output is disjoint (a repartition join, or a
+  /// broadcast over one), since it could remove nothing; the row oracle
+  /// always runs it. Fills `metrics` if non-null; on error the metrics
+  /// are zeroed with `failed` set (never partial sums).
   Result<BindingTable> Execute(const PlanNode& plan, ExecMetrics* metrics);
 
   /// Records per-operator estimated-vs-measured cardinality into

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "exec/binding_table.h"
 #include "exec/cluster.h"
 #include "exec/executor.h"
@@ -11,6 +13,7 @@
 #include "exec/reference_join.h"
 #include "partition/hash_so.h"
 #include "plan/plan.h"
+#include "query/match.h"
 #include "rdf/ntriples.h"
 #include "stats/data_stats.h"
 #include "tests/test_util.h"
@@ -100,6 +103,23 @@ TEST(BindingTableTest, AppendFromAndAppendGather) {
   const std::uint32_t rows[] = {2, 0, 2};
   picked.AppendGather(src, rows, 3);
   EXPECT_EQ(picked, MakeTable({0, 1}, {{3, 30}, {1, 10}, {3, 30}}));
+}
+
+TEST(BindingTableTest, ConcatMatchesAppendFrom) {
+  std::vector<BindingTable> parts;
+  parts.push_back(MakeTable({0, 1}, {{1, 2}, {3, 4}}));
+  parts.push_back(MakeTable({0, 1}, {}));
+  parts.push_back(MakeTable({0, 1}, {{5, 6}, {1, 2}}));
+  parts[2].SetSortedBy(0);
+  BindingTable expected({0, 1});
+  for (const BindingTable& p : parts) expected.AppendFrom(p);
+
+  BindingTable got = BindingTable::Concat(std::move(parts));
+  EXPECT_TRUE(got == expected);  // same rows, same order, no dedup
+  EXPECT_EQ(got.NumRows(), 4u);
+  EXPECT_EQ(got.sorted_by(), kInvalidVarId);
+
+  EXPECT_EQ(BindingTable::Concat({}).num_cols(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -532,6 +552,67 @@ TEST_F(ExecutorTest, ProjectionSelectsQueryVariables) {
   EXPECT_EQ(result->num_cols(), 1);
   // Matches: (s1,d1,u1,s2) and (s2,d1,u1,s3); the only university is u1.
   EXPECT_EQ(result->NumRows(), 1u);
+}
+
+// Hash-SO stores a triple on its subject's and its object's node. A
+// star whose two patterns share their object as well as their subject
+// then matches on both nodes, so the local join below holds rows twice
+// across the cluster, and only the repartition's post-routing dedup
+// removes them. The row count against MatchBgp catches a lost dedup that
+// set comparison would hide.
+TEST(ReplicatedRowsTest, RepartitionOverLocalJoinKeepsRowCount) {
+  auto g = ParseNTriplesString(
+      "<w1> <a> <o1> .\n<w1> <b> <o1> .\n<w1> <c> <v1> .\n"
+      "<w2> <a> <o2> .\n<w2> <b> <o2> .\n<w2> <c> <v2> .\n"
+      "<w3> <a> <o3> .\n<w3> <b> <o3> .\n<w3> <c> <v3> .\n"
+      "<w4> <a> <o4> .\n<w4> <b> <o4> .\n<w4> <c> <v4> .\n"
+      "<w4> <c> <v5> .\n");
+  ASSERT_TRUE(g.ok());
+  const RdfGraph& graph = *g;
+  JoinGraph jg(std::vector<TriplePattern>{
+      Tp("?w", "a", "?o"), Tp("?w", "b", "?o"), Tp("?w", "c", "?v")});
+  HashSoPartitioner hash;
+  Cluster cluster(graph, hash.PartitionData(graph, 3));
+  CardinalityEstimator est(jg, ComputeStatisticsFromGraph(jg, graph));
+  PlanBuilder builder(est, CostModel(CostParams{}));
+
+  // Precondition: the local join alone emits more rows than it has
+  // distinct ones, i.e. some row sits on two nodes. The row oracle counts
+  // the distinct ones: it deduplicates every result.
+  PlanNodePtr local = builder.LocalJoinAll(TpSet::FullSet(2));
+  {
+    Executor exec(cluster, jg, CostParams{}, /*parallel_nodes=*/false,
+                  RetryPolicy{}, ExecEngine::kRow);
+    ExecMetrics m;
+    ASSERT_TRUE(exec.Execute(*local, &m).ok());
+    std::uint64_t emitted = 0;
+    for (std::uint64_t rows : m.node_rows_joined) emitted += rows;
+    ASSERT_GT(emitted, m.result_rows);
+  }
+
+  PlanNodePtr plan = builder.Join(JoinMethod::kRepartition, jg.FindVar("w"),
+                                  {local, builder.Scan(2)});
+  std::set<std::vector<TermId>> expected;
+  for (const BgpMatch& match : MatchBgp(jg, graph, 0)) {
+    expected.insert(match.bindings);
+  }
+  ASSERT_EQ(expected.size(), 5u);
+  for (bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    Executor row(cluster, jg, CostParams{}, parallel, RetryPolicy{},
+                 ExecEngine::kRow);
+    Executor batch(cluster, jg, CostParams{}, parallel, RetryPolicy{},
+                   ExecEngine::kBatch);
+    ExecMetrics mr, mb;
+    auto rr = row.Execute(*plan, &mr);
+    auto rb = batch.Execute(*plan, &mb);
+    ASSERT_TRUE(rr.ok());
+    ASSERT_TRUE(rb.ok());
+    EXPECT_TRUE(*rr == *rb);
+    EXPECT_EQ(rb->NumRows(), expected.size());
+    EXPECT_EQ(mb.result_rows, expected.size());
+    EXPECT_EQ(mr.rows_transferred, mb.rows_transferred);
+  }
 }
 
 }  // namespace
