@@ -193,21 +193,17 @@ class FaultScope {
 /// (never the first attempt) must win a token, and an empty bucket
 /// degrades the query to a typed kUnavailable instead of more backoff.
 ///
-/// Lock-free: the bucket is a monotonic allowance — at time t since
-/// construction, at most `capacity + floor(t * refill_per_second)` tokens
-/// may ever have been acquired — claimed with one CAS per acquire. With
-/// refill 0 it is a fixed budget: total retries <= capacity, exactly the
-/// bound the chaos sweeps assert.
+/// Lock-free and fixed: at most `capacity` tokens are ever acquired,
+/// claimed with one CAS per acquire, so total retries <= capacity —
+/// exactly the bound the chaos sweeps assert.
 class RetryBudget {
  public:
-  explicit RetryBudget(std::uint64_t capacity,
-                       double refill_per_second = 0.0)
-      : capacity_(capacity), refill_per_second_(refill_per_second) {}
+  explicit RetryBudget(std::uint64_t capacity) : capacity_(capacity) {}
 
   RetryBudget(const RetryBudget&) = delete;
   RetryBudget& operator=(const RetryBudget&) = delete;
 
-  /// Claims one token; false when the bucket is (currently) empty.
+  /// Claims one token; false once the bucket is empty.
   /// Exported as server.retry_budget.{acquired,denied} metrics.
   bool TryAcquire();
 
@@ -218,15 +214,11 @@ class RetryBudget {
   std::uint64_t denied() const {
     return denied_.load(std::memory_order_relaxed);
   }
-  /// Tokens still claimable right now (saturating at 0).
-  std::uint64_t remaining() const;
+  /// Tokens still claimable.
+  std::uint64_t remaining() const { return capacity_ - acquired(); }
 
  private:
-  std::uint64_t AllowanceNow() const;
-
   const std::uint64_t capacity_;
-  const double refill_per_second_;
-  Stopwatch since_;  ///< Steady clock; refill accrues from construction.
   std::atomic<std::uint64_t> acquired_{0};
   std::atomic<std::uint64_t> denied_{0};
 };

@@ -36,7 +36,6 @@
 #define PARQO_COMMON_THREAD_ANNOTATIONS_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -122,9 +121,7 @@ namespace parqo {
 // without renumbering.
 enum class LockRank : int {
   kServer = 10,          ///< Reserved: QueryServer session/layout state.
-  kAdmission = 12,       ///< AdmissionController wait-queue (server/admission.h).
   kCacheShard = 20,      ///< PlanCache::Shard::mu (server/plan_cache.h).
-  kHealth = 25,          ///< NodeHealthRegistry::mu_ (exec/health.h).
   kExecRecovery = 30,    ///< Executor fault-recovery state (exec/executor.cc).
   kMemoShard = 40,       ///< TdCmdCore::MemoShard::mu (optimizer/td_cmd_core.h).
   kEstimatorShard = 42,  ///< CardinalityEstimator::Shard::mu (stats/estimator.h).
@@ -143,7 +140,7 @@ namespace lock_rank_internal {
 /// relaxed load + branch per acquisition in release serving builds.
 inline std::atomic<bool> g_rank_checks{PARQO_DCHECK_ENABLED != 0};
 
-/// Per-thread stack of held ranks. Fixed capacity: the hierarchy is 10
+/// Per-thread stack of held ranks. Fixed capacity: the hierarchy is 11
 /// levels deep and same-rank nesting is forbidden, so 16 can never
 /// overflow without a rank bug worth aborting on.
 struct HeldRanks {
@@ -276,20 +273,6 @@ class PARQO_SCOPED_CAPABILITY MutexLock {
     std::unique_lock<std::mutex> native(mu_.native(), std::adopt_lock);
     cv.wait(native);  // parqo-lint: allow(naked-sleep) the sanctioned wait primitive; callers loop on a guarded predicate
     native.release();
-  }
-
-  /// Bounded variant of Wait(): one wait step that also wakes after
-  /// `seconds`. Returns false on timeout, true on a notify (possibly
-  /// spurious — callers still loop on their guarded predicate). This is
-  /// what makes admission queueing a *bounded* wait rather than an
-  /// unbounded block, per the naked-sleep rule's "predicate or timeout"
-  /// contract.
-  bool WaitFor(std::condition_variable& cv, double seconds) {
-    std::unique_lock<std::mutex> native(mu_.native(), std::adopt_lock);
-    std::cv_status status = cv.wait_for(  // parqo-lint: allow(naked-sleep) the sanctioned bounded wait primitive
-        native, std::chrono::duration<double>(seconds));
-    native.release();
-    return status == std::cv_status::no_timeout;
   }
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/check.h"
 #include "common/metrics.h"
 
 namespace parqo {
@@ -17,10 +18,6 @@ NodeHealthRegistry::NodeHealthRegistry(int num_nodes, HealthConfig config)
     : config_(config), nodes_(num_nodes) {
   PARQO_CHECK(num_nodes > 0);
   PARQO_CHECK(config_.failure_threshold > 0);
-  PARQO_CHECK(config_.session_window > 0);
-  MutexLock lock(mu_);
-  session_walls_.assign(static_cast<std::size_t>(config_.session_window),
-                        0.0);
 }
 
 bool NodeHealthRegistry::AllowRoute(int node) {
@@ -126,31 +123,6 @@ void NodeHealthRegistry::RecordSession(const ExecMetrics& m) {
                                                      : 0;
     if (m.node_ops[i] == 0 || failures > 0) continue;
     RecordNodeSuccess(i);
-  }
-
-  {
-    MutexLock lock(mu_);
-    session_walls_[static_cast<std::size_t>(session_next_)] =
-        m.wall_seconds;
-    session_next_ = (session_next_ + 1) % config_.session_window;
-    if (session_count_ < config_.session_window) ++session_count_;
-    // p99 over the occupied window (nearest-rank).
-    std::vector<double> walls(
-        session_walls_.begin(),
-        session_walls_.begin() + session_count_);
-    std::size_t rank = static_cast<std::size_t>(
-        0.99 * static_cast<double>(walls.size() - 1));
-    std::nth_element(walls.begin(),
-                     walls.begin() + static_cast<std::ptrdiff_t>(rank),
-                     walls.end());
-    session_p99_.store(walls[rank], std::memory_order_relaxed);
-  }
-
-  if (MetricsEnabled()) {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    reg.counter("server.health.sessions").Add(1);
-    reg.gauge("server.health.session_p99_seconds")
-        .Set(session_p99_.load(std::memory_order_relaxed));
   }
 }
 

@@ -1,5 +1,5 @@
-// Cross-query node health: failure counting, per-node circuit breakers
-// and the session-latency p99 (DESIGN.md section 16).
+// Cross-query node health: failure counting and per-node circuit
+// breakers (DESIGN.md section 16).
 //
 // PR 4's recovery layer is per-query: every session independently pays
 // the full detect-crash / re-home / retry cycle against the same sick
@@ -16,16 +16,11 @@
 //
 // The executor consults the registry BEFORE dispatch (AllowRoute): open
 // nodes are quarantined — their partitions are pre-emptively re-homed to
-// survivors, so the session never discovers the crash mid-scan. The
-// registry also keeps a session-latency p99 that the
-// AdmissionController uses for load shedding.
+// survivors, so the session never discovers the crash mid-scan.
 //
-// Concurrency: the executor-facing read path (AllowRoute /
-// SessionP99Seconds) is lock-free — atomic per-node state, breaker
-// transitions by CAS. The feedback path (RecordSession) takes mu_
-// (LockRank::kHealth) only for the session-latency ring buffer;
-// RecordNodeSuccess/Failure touch only atomics, so the executor may call
-// them mid-query from its workers.
+// Concurrency: lock-free — atomic per-node state, breaker transitions by
+// CAS. Routing and every feedback call touch only atomics, so the
+// executor may call them mid-query from its workers.
 
 #ifndef PARQO_EXEC_HEALTH_H_
 #define PARQO_EXEC_HEALTH_H_
@@ -34,7 +29,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_annotations.h"
+#include "common/stopwatch.h"
 #include "exec/executor.h"
 
 namespace parqo {
@@ -46,8 +41,6 @@ struct HealthConfig {
   int failure_threshold = 3;
   /// Seconds an open breaker waits before offering a half-open probe.
   double cooldown_seconds = 0.5;
-  /// Session latencies tracked for the admission p99 (ring buffer size).
-  int session_window = 256;
 };
 
 enum class BreakerState : int { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
@@ -72,18 +65,11 @@ class NodeHealthRegistry {
   /// is recorded. NOT idempotent — introspection should use state().
   bool AllowRoute(int node);
 
-  /// p99 of recent session wall times (admission shedding input);
-  /// 0 until a session has been recorded.
-  double SessionP99Seconds() const {
-    return session_p99_.load(std::memory_order_relaxed);
-  }
-
   // -- Feedback --------------------------------------------------------
 
   /// Feeds one finished session's metrics: success bookkeeping for every
   /// node that did work without failing (success on a probed half-open
-  /// node closes its breaker) and the session p99. Call after EVERY
-  /// session, failed or not — failures are what breakers eat.
+  /// node closes its breaker). Call after EVERY session, failed or not.
   void RecordSession(const ExecMetrics& m);
 
   /// One mid-query crash detection on `node` (executor calls this the
@@ -131,26 +117,14 @@ class NodeHealthRegistry {
 
   const HealthConfig config_;
   /// Steady clock for breaker cooldowns; immutable after construction.
-  // parqo-lint: allow(guarded-field) read-only steady-clock epoch
   Stopwatch clock_;
-
   /// Elements are atomics; the vector's shape is fixed at construction.
-  // parqo-lint: allow(guarded-field) per-element atomics, sized in the ctor
   std::vector<NodeHealth> nodes_;
-
-  std::atomic<double> session_p99_{0};
 
   std::atomic<std::uint64_t> breaker_opens_{0};
   std::atomic<std::uint64_t> breaker_closes_{0};
   std::atomic<std::uint64_t> probes_started_{0};
   std::atomic<std::uint64_t> routes_denied_{0};
-
-  /// Serializes the session-latency ring buffer; never held while
-  /// calling out of this class.
-  Mutex mu_{LockRank::kHealth};
-  std::vector<double> session_walls_ PARQO_GUARDED_BY(mu_);
-  int session_next_ PARQO_GUARDED_BY(mu_) = 0;
-  int session_count_ PARQO_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace parqo

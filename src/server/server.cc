@@ -22,16 +22,10 @@ QueryServer::QueryServer(const RdfGraph& graph, const Cluster& cluster,
                         cluster.num_nodes(), config_.health)
                   : nullptr),
       retry_budget_(config_.retry_budget > 0
-                        ? std::make_unique<RetryBudget>(
-                              config_.retry_budget,
-                              config_.retry_budget_refill_per_second)
+                        ? std::make_unique<RetryBudget>(config_.retry_budget)
                         : nullptr),
       cache_(config_.cache_shards, config_.cache_shard_capacity),
-      admission_(AdmissionConfig{config_.max_in_flight,
-                                 config_.admission_queue,
-                                 config_.admission_queue_wait_seconds,
-                                 config_.shed_p99_seconds},
-                 health_.get()),
+      admission_(config_.max_in_flight),
       optimizer_(config_.num_threads) {}
 
 ServeResult QueryServer::Serve(const std::vector<TriplePattern>& patterns,
@@ -88,8 +82,10 @@ ServeResult QueryServer::ServeAdmitted(
 
   std::optional<CachedPlan> hit = cache_.Lookup(key);
   out.cache_hit = hit.has_value();
-  bool reoptimizing_degraded =
-      hit && hit->degraded && config_.reoptimize_degraded_hits;
+  // A hit on a degraded entry re-optimizes (a deadline casualty never
+  // poisons future requests that have budget) and upgrades the entry
+  // when the re-optimization completes cleanly.
+  bool reoptimizing_degraded = hit && hit->degraded;
 
   CachedPlan entry;
   if (hit && !reoptimizing_degraded) {
@@ -154,7 +150,7 @@ ServeResult QueryServer::ServeAdmitted(
   out.execute_seconds = exec_watch.ElapsedSeconds();
   // Feed the health registry failed-or-not: failures already reached it
   // mid-query (breakers trip on detection), successes close half-open
-  // breakers, and every session's wall time updates the admission p99.
+  // breakers.
   if (health_ != nullptr) health_->RecordSession(out.exec_metrics);
   if (retry_budget_ != nullptr && MetricsEnabled()) {
     MetricsRegistry::Global()

@@ -343,6 +343,8 @@ TEST(ServerTest, OverloadedServerRejectsWithTypedStatus) {
     EXPECT_EQ(rejected.status.code(), StatusCode::kOverloaded);
     EXPECT_EQ(rejected.plan, nullptr);  // nothing was attempted
     EXPECT_TRUE(rejected.signature.empty());
+    // Rejected at once: the front door never parks a request.
+    EXPECT_LT(rejected.total_seconds, 0.02);
   }
   // Capacity released: the same request now succeeds.
   ServeResult ok = server.Serve(query);

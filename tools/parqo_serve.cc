@@ -19,10 +19,17 @@
 // 75 (EX_TEMPFAIL) every failure was RETRYABLE (kOverloaded /
 // kUnavailable — transient overload or exhausted recovery; back off and
 // re-submit), 1 at least one fatal failure (parse error, invalid query),
-// 2 usage. --saturate is a test hook that fills every admission slot
-// first, so each query is turned away with the typed kOverloaded.
+// 2 usage — including a numeric flag whose value does not parse in full
+// or is out of range (--nodes and --max-in-flight >= 1, --max-rows >= 0,
+// --deadline finite and >= 0). --saturate is a test hook that fills
+// every admission slot first, so each query is turned away with the
+// typed kOverloaded.
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <sstream>
@@ -71,6 +78,29 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+/// Parses all of `v` as a base-10 integer in [min, max]; false on
+/// trailing junk, overflow, or a value out of range.
+bool ParseInteger(const char* v, long long min, long long max,
+                  long long* out) {
+  char* end = nullptr;
+  errno = 0;
+  long long n = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || n < min || n > max) {
+    return false;
+  }
+  *out = n;
+  return true;
+}
+
+/// Parses all of `v` as a finite, non-negative number of seconds.
+bool ParseSeconds(const char* v, double* out) {
+  char* end = nullptr;
+  double d = std::strtod(v, &end);
+  if (end == v || *end != '\0' || !std::isfinite(d) || d < 0) return false;
+  *out = d;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, ServeOptions* opts) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -80,24 +110,33 @@ bool ParseArgs(int argc, char** argv, ServeOptions* opts) {
       return arg.c_str() + prefix.size();
     };
     const char* v = nullptr;
+    long long n = 0;
+    bool ok = true;
     if ((v = value("--data")) != nullptr) {
       opts->data_path = v;
     } else if ((v = value("--algorithm")) != nullptr) {
       opts->algorithm = v;
     } else if ((v = value("--nodes")) != nullptr) {
-      opts->nodes = std::atoi(v);
+      ok = ParseInteger(v, 1, INT_MAX, &n);
+      opts->nodes = static_cast<int>(n);
     } else if ((v = value("--deadline")) != nullptr) {
-      opts->deadline = std::atof(v);
+      ok = ParseSeconds(v, &opts->deadline);
     } else if ((v = value("--max-in-flight")) != nullptr) {
-      opts->max_in_flight = std::atoi(v);
+      ok = ParseInteger(v, 1, INT_MAX, &n);
+      opts->max_in_flight = static_cast<int>(n);
     } else if ((v = value("--max-rows")) != nullptr) {
-      opts->max_rows = static_cast<std::size_t>(std::atoll(v));
+      ok = ParseInteger(v, 0, LLONG_MAX, &n);
+      opts->max_rows = static_cast<std::size_t>(n);
     } else if (arg == "--stats") {
       opts->stats = true;
     } else if (arg == "--saturate") {
       opts->saturate = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad value: %s\n", arg.c_str());
       return false;
     }
   }

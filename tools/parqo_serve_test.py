@@ -93,6 +93,35 @@ def main():
         if r.returncode != 2:
             failures.append(f"usage exited {r.returncode}, want 2")
 
+        # 6. A numeric flag must parse in full and be in range, else
+        #    usage (2) -- never a crash, a clamp, or a silent default.
+        for flag in [
+            "--nodes=0",
+            "--nodes=abc",
+            "--nodes=-3",
+            "--nodes=3x",
+            "--max-in-flight=abc",
+            "--max-in-flight=0",
+            "--max-rows=-1",
+            "--max-rows=",
+            "--deadline=-1",
+            "--deadline=nan",
+            "--deadline=inf",
+            "--deadline=0.5s",
+        ]:
+            r = run(serve, [f"--data={data}", flag], QUERY)
+            if r.returncode != 2:
+                failures.append(f"{flag} exited {r.returncode}, want 2")
+
+        # 7. In-range values still serve.
+        r = run(
+            serve,
+            base + ["--max-in-flight=2", "--max-rows=0", "--deadline=0.5"],
+            QUERY,
+        )
+        if r.returncode != 0:
+            failures.append(f"in-range flags exited {r.returncode}: {r.stderr}")
+
     if failures:
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)
